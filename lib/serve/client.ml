@@ -14,7 +14,7 @@
 
 type t = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  inbuf : Protocol.Inbuf.t;
   mutable closed : bool;
 }
 
@@ -23,7 +23,7 @@ type t = {
    connect lives in [Addr.connect] so the router's shard links share it. *)
 let connect ?(timeout_s = 5.0) path =
   let fd = Addr.connect ~timeout_s (Addr.of_string path) in
-  { fd; inbuf = Buffer.create 1024; closed = false }
+  { fd; inbuf = Protocol.Inbuf.create (); closed = false }
 
 let close t =
   if not t.closed then begin
@@ -54,11 +54,8 @@ let recv ?timeout_s t =
   let deadline = Option.map (fun s -> Robust.mono_now () +. s) timeout_s in
   let chunk = Bytes.create 65536 in
   let rec go () =
-    let s = Buffer.contents t.inbuf in
-    match Protocol.decode_frame s with
-    | `Frame (msg, body, consumed) -> (
-        Buffer.clear t.inbuf;
-        Buffer.add_substring t.inbuf s consumed (String.length s - consumed);
+    match Protocol.Inbuf.next t.inbuf with
+    | `Frame (msg, body, _) -> (
         match Protocol.response_of_frame ~msg body with
         | Ok resp -> resp
         | Error e -> failwith ("Client.recv: undecodable response: " ^ e))
@@ -76,7 +73,7 @@ let recv ?timeout_s t =
         | None -> ());
         (match Unix.read t.fd chunk 0 (Bytes.length chunk) with
         | 0 -> failwith "Client.recv: server closed the connection"
-        | n -> Buffer.add_subbytes t.inbuf chunk 0 n
+        | n -> Protocol.Inbuf.add t.inbuf chunk 0 n
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         go ()
   in
@@ -86,18 +83,23 @@ let request ?timeout_s t req =
   send t req;
   recv ?timeout_s t
 
+(* A query's response: a definitive result, or a [Busy] shed's hint. *)
+let query_outcome = function
+  | Protocol.Answer a -> `Done (Ok a)
+  | Protocol.Busy { retry_after_ms } -> `Busy retry_after_ms
+  | Protocol.Error_msg e -> `Done (Error e)
+  | Protocol.Stats_json _ | Protocol.Pong | Protocol.Bye ->
+      `Done (Error "unexpected response type to query")
+
 let query ?(measure = true) ?(deadline_ms = 0) ?kernel ?(qid = "q") ?timeout_s
     t source =
   match
-    request ?timeout_s t
-      (Protocol.Query { Protocol.qid; source; measure; deadline_ms; kernel })
+    query_outcome
+      (request ?timeout_s t
+         (Protocol.Query { Protocol.qid; source; measure; deadline_ms; kernel }))
   with
-  | Protocol.Answer a -> Ok a
-  | Protocol.Busy { retry_after_ms } ->
-      Error (Printf.sprintf "busy: retry after %d ms" retry_after_ms)
-  | Protocol.Error_msg e -> Error e
-  | Protocol.Stats_json _ | Protocol.Pong | Protocol.Bye ->
-      Error "unexpected response type to query"
+  | `Done r -> r
+  | `Busy ms -> Error (Printf.sprintf "busy: retry after %d ms" ms)
 
 let stats t =
   match request t Protocol.Stats with
@@ -139,11 +141,7 @@ let query_with_retry ?(attempts = 3) ?(base_s = 0.05) ?(max_s = 1.0)
                   (Protocol.Query
                      { Protocol.qid; source; measure; deadline_ms; kernel })
               with
-              | Protocol.Answer a -> `Done (Ok a)
-              | Protocol.Busy { retry_after_ms } -> `Busy retry_after_ms
-              | Protocol.Error_msg e -> `Done (Error e)
-              | Protocol.Stats_json _ | Protocol.Pong | Protocol.Bye ->
-                  `Done (Error "unexpected response type to query")
+              | resp -> query_outcome resp
               | exception Failure msg -> `Transport msg
               | exception Unix.Unix_error (err, fn, _) ->
                   `Transport (fn ^ ": " ^ Unix.error_message err)))

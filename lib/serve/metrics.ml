@@ -25,12 +25,38 @@ let span_fields s =
     ("measure", s.measure_s);
   ]
 
+(* Connection-level counters.  Only the serving loop's thread bumps them,
+   so they are plain fields outside the mutex; the daemon and the router
+   both report them under these names. *)
+type io = {
+  mutable protocol_errors : int;  (* bad frames / undecodable bodies *)
+  mutable write_stalls : int;  (* connections dropped for not draining writes *)
+  mutable reaped_idle : int;  (* connections closed for total silence *)
+  mutable reaped_trickle : int;  (* connections closed mid-frame for stalling *)
+  mutable refused : int;  (* accepted past the connection cap, closed at once *)
+  mutable accept_errors : int;  (* accept failures other than EAGAIN/EINTR *)
+}
+
+let io_create () =
+  { protocol_errors = 0; write_stalls = 0; reaped_idle = 0; reaped_trickle = 0;
+    refused = 0; accept_errors = 0 }
+
+let io_fields io =
+  [
+    ("protocol_errors", io.protocol_errors);
+    ("reaped_idle", io.reaped_idle);
+    ("reaped_trickle", io.reaped_trickle);
+    ("write_stalls", io.write_stalls);
+    ("refused", io.refused);
+    ("accept_errors", io.accept_errors);
+  ]
+
 type t = {
   mu : Mutex.t;
+  io : io;
   started : float;
   mutable requests : int;  (* frames decoded into a well-formed request *)
   mutable answers : int;
-  mutable protocol_errors : int;  (* bad frames / undecodable bodies *)
   mutable request_errors : int;  (* well-formed requests that failed *)
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -52,9 +78,6 @@ type t = {
   mutable cache_persist_failures : int;
   mutable shed : int;  (* queries answered [Busy] past the high-water mark *)
   mutable deadline_misses : int;  (* answers marked degraded_reason=deadline *)
-  mutable reaped_idle : int;  (* connections closed for total silence *)
-  mutable reaped_trickle : int;  (* connections closed mid-frame for stalling *)
-  mutable write_stalls : int;  (* connections dropped for not draining writes *)
   mutable parse_s : float;
   mutable extract_s : float;
   mutable traverse_s : float;
@@ -64,10 +87,10 @@ type t = {
 let create () =
   {
     mu = Mutex.create ();
+    io = io_create ();
     started = Robust.wall_now ();
     requests = 0;
     answers = 0;
-    protocol_errors = 0;
     request_errors = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -89,9 +112,6 @@ let create () =
     cache_persist_failures = 0;
     shed = 0;
     deadline_misses = 0;
-    reaped_idle = 0;
-    reaped_trickle = 0;
-    write_stalls = 0;
     parse_s = 0.0;
     extract_s = 0.0;
     traverse_s = 0.0;
@@ -141,7 +161,6 @@ let counters t =
       [
         ("requests", t.requests);
         ("answers", t.answers);
-        ("protocol_errors", t.protocol_errors);
         ("request_errors", t.request_errors);
         ("cache_hits", t.cache_hits);
         ("cache_misses", t.cache_misses);
@@ -167,10 +186,8 @@ let counters t =
         ("cache_persist_failures", t.cache_persist_failures);
         ("shed", t.shed);
         ("deadline_misses", t.deadline_misses);
-        ("reaped_idle", t.reaped_idle);
-        ("reaped_trickle", t.reaped_trickle);
-        ("write_stalls", t.write_stalls);
-      ])
+      ]
+      @ io_fields t.io)
 
 let counter t name = List.assoc_opt name (counters t)
 

@@ -18,12 +18,29 @@ val span_fields : span -> (string * float) list
 (** Phase name -> seconds, in phase order (the wire format of an answer's
     trace). *)
 
+(** Connection-level counters, owned by the serving loop ({!Loop}) and
+    reported by the daemon and the router alike under these names.  Only
+    the loop's thread bumps them, so they live outside the mutex. *)
+type io = {
+  mutable protocol_errors : int;  (** bad frames / undecodable bodies *)
+  mutable write_stalls : int;  (** clients dropped for not draining *)
+  mutable reaped_idle : int;  (** closed for total silence *)
+  mutable reaped_trickle : int;  (** closed for stalling mid-frame *)
+  mutable refused : int;  (** closed at once past the connection cap *)
+  mutable accept_errors : int;  (** [accept] failures but EAGAIN/EINTR *)
+}
+
+val io_create : unit -> io
+
+val io_fields : io -> (string * int) list
+(** The [io] counters by their stats-JSON names, fixed order. *)
+
 type t = {
   mu : Mutex.t;
+  io : io;
   started : float;
   mutable requests : int;
   mutable answers : int;
-  mutable protocol_errors : int;
   mutable request_errors : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -49,11 +66,6 @@ type t = {
   mutable shed : int;  (** queries answered [Busy] past the high-water mark *)
   mutable deadline_misses : int;
       (** answers that blew their [deadline_ms] (degraded reason "deadline") *)
-  mutable reaped_idle : int;  (** connections closed for total silence *)
-  mutable reaped_trickle : int;
-      (** connections closed for stalling mid-frame (trickle/byte-at-a-time) *)
-  mutable write_stalls : int;
-      (** connections dropped because the client never drained its responses *)
   mutable parse_s : float;
   mutable extract_s : float;
   mutable traverse_s : float;
@@ -87,6 +99,10 @@ val to_json :
     (cache size, index size...), cumulative phase seconds, uptime, any
     [extra] string fields (cache identity, socket path...), and the
     protocol version. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (quotes, backslashes and
+    control bytes escaped). *)
 
 val json_counter : string -> string -> int option
 (** [json_counter json name] pulls an integer counter back out of a

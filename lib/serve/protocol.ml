@@ -58,30 +58,110 @@ type progress =
   | `Bad of string  (** unrecoverable framing damage; drop the connection *)
   ]
 
-let decode_frame (buf : string) : progress =
-  let have = String.length buf in
+(* Decode the frame starting at [pos] among the [have] bytes of [b] there.
+   Total like the rest of the decoder: any bytes give [`Frame]/[`Need]/
+   [`Bad]; only the frame's body is copied out. *)
+let decode_frame_at (b : Bytes.t) ~pos ~len:have : progress =
+  let magic_ok n =
+    let rec go i = i >= n || (Bytes.get b (pos + i) = magic.[i] && go (i + 1)) in
+    go 0
+  in
+  let byte i = Char.code (Bytes.get b (pos + i)) in
   if have < header_bytes then
     (* Reject a wrong magic as soon as the prefix can't match, so garbage
        connections die on their first bytes rather than stalling forever. *)
-    if have > 0 && not (String.starts_with ~prefix:(String.sub buf 0 (min have 4)) magic)
-    then `Bad "bad magic"
+    if not (magic_ok (min have 4)) then `Bad "bad magic"
     else `Need (header_bytes - have)
-  else if String.sub buf 0 4 <> magic then `Bad "bad magic"
+  else if not (magic_ok 4) then `Bad "bad magic"
   else
-    let v = Char.code buf.[4] in
+    let v = byte 4 in
     if v <> version then `Bad (Printf.sprintf "protocol version %d (this build speaks %d)" v version)
     else
-      let msg = Char.code buf.[5] in
-      let len =
-        (Char.code buf.[6] lsl 24)
-        lor (Char.code buf.[7] lsl 16)
-        lor (Char.code buf.[8] lsl 8)
-        lor Char.code buf.[9]
-      in
+      let msg = byte 5 in
+      let len = (byte 6 lsl 24) lor (byte 7 lsl 16) lor (byte 8 lsl 8) lor byte 9 in
       if len > max_payload then
         `Bad (Printf.sprintf "declared payload of %d bytes exceeds the %d limit" len max_payload)
       else if have < header_bytes + len then `Need (header_bytes + len - have)
-      else `Frame (msg, String.sub buf header_bytes len, header_bytes + len)
+      else `Frame (msg, Bytes.sub_string b (pos + header_bytes) len, header_bytes + len)
+
+let decode_frame (buf : string) : progress =
+  decode_frame_at (Bytes.unsafe_of_string buf) ~pos:0 ~len:(String.length buf)
+
+(* One connection's receive buffer, decoded in place at a cursor, so an
+   N-byte frame costs O(N) to receive rather than re-copying the backlog on
+   every read.  The storage compacts only once the consumed prefix passes
+   half of it (or the tail is out of room), so each byte moves at most once;
+   once a header announces a frame's size, growth steps through
+   [size / 4^j] (copies total about a third of the frame, and a header
+   announcing 16 MiB reserves a small multiple of what arrived, not the
+   16 MiB); a drained buffer past [keep_bytes] is released.  [copied]
+   counts every byte written into the storage. *)
+module Inbuf = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable start : int;  (* cursor: the first unconsumed byte *)
+    mutable stop : int;  (* one past the last received byte *)
+    mutable want : int;  (* size of the frame at the cursor, once known *)
+    mutable copied : int;
+  }
+
+  let initial_bytes = 1024
+  let keep_bytes = 65536
+
+  let create () =
+    { buf = Bytes.create initial_bytes; start = 0; stop = 0; want = 0; copied = 0 }
+
+  let length t = t.stop - t.start
+  let copied t = t.copied
+
+  let move t dst =
+    let live = length t in
+    Bytes.blit t.buf t.start dst 0 live;
+    t.copied <- t.copied + live;
+    t.buf <- dst;
+    t.start <- 0;
+    t.stop <- live
+
+  (* Room for [n] more bytes at [stop]. *)
+  let reserve t n =
+    let cap = Bytes.length t.buf in
+    if t.stop + n > cap then begin
+      let need = length t + n in
+      if need <= cap then move t t.buf
+      else
+        (* Double — but once a header has announced the frame's size, step
+           through [want / 4^j], so the last growth lands on it exactly. *)
+        let floor = max need (2 * cap) in
+        let rec fit c = if c / 4 >= floor then fit (c / 4) else c in
+        move t (Bytes.create (if t.want > floor then fit t.want else floor))
+    end
+
+  let add t src off n =
+    reserve t n;
+    Bytes.blit src off t.buf t.stop n;
+    t.copied <- t.copied + n;
+    t.stop <- t.stop + n
+
+  let consume t n =
+    t.start <- t.start + n;
+    t.want <- 0;
+    if t.start = t.stop then begin
+      t.start <- 0;
+      t.stop <- 0;
+      if Bytes.length t.buf > keep_bytes then t.buf <- Bytes.create initial_bytes
+    end
+    else if t.start > Bytes.length t.buf / 2 then move t t.buf
+
+  let next t : progress =
+    match decode_frame_at t.buf ~pos:t.start ~len:(length t) with
+    | `Frame (_, _, consumed) as f ->
+        consume t consumed;
+        f
+    | `Need k as r ->
+        t.want <- length t + k;
+        r
+    | `Bad _ as r -> r
+end
 
 (* --- request bodies --- *)
 

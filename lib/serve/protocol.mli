@@ -47,6 +47,35 @@ val decode_frame : string -> progress
     version, an unknown length field or an over-limit payload is [`Bad]
     as soon as it is detectable. *)
 
+val decode_frame_at : Bytes.t -> pos:int -> len:int -> progress
+(** {!decode_frame} over the [len] bytes of a buffer starting at [pos],
+    without copying them first; only a complete frame's body is copied
+    out. *)
+
+(** A connection's receive buffer: bytes in, frames out, in time linear in
+    the bytes received (decoded in place at a cursor).  Shared by the
+    serving loop and the blocking client. *)
+module Inbuf : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> Bytes.t -> int -> int -> unit
+  (** [add t b off n] appends [n] bytes of [b] from [off]. *)
+
+  val next : t -> progress
+  (** Decode at the cursor.  [`Frame] consumes that frame; [`Need] and
+      [`Bad] consume nothing, and after [`Bad] the connection is beyond
+      repair. *)
+
+  val length : t -> int
+  (** Bytes received but not yet consumed; 0 at a frame boundary. *)
+
+  val copied : t -> int
+  (** Bytes ever written into the storage: appends plus growth and
+      compaction moves.  Stays within twice the bytes received. *)
+end
+
 (** {2 Requests} *)
 
 type source =

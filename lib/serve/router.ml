@@ -1,12 +1,11 @@
 (* The `waco route` daemon: a consistent-hash front tier over N shard
    daemons.
 
-   One select loop owns all IO, the same discipline as [Server]: client
-   connections accumulate bytes and peel frames off with the total
-   [Protocol] decoder; each query's fingerprint routing key picks a shard
-   on the ring; the query's frame bytes are relayed {e verbatim} over that
-   shard's one persistent connection, and the shard's response frame is
-   relayed verbatim back.  No re-encoding anywhere on the data path: what a
+   The shared [Loop] owns all IO, as it does for [Server]: it peels frames
+   off client connections and off one persistent link per shard; each
+   query's fingerprint routing key picks a shard on the ring; the query's
+   frame bytes are relayed {e verbatim} over that shard's link, and the
+   shard's response frame is relayed verbatim back.  No re-encoding anywhere on the data path: what a
    shard answers — an [Answer], an [Error], a [Busy] with its
    [retry_after_ms] hint — is byte-for-byte what the client receives, so
    every client-side contract (retry hints, degraded markers, span fields)
@@ -30,7 +29,7 @@
    capped backoff and rejoins the ring warm from its own persistent cache.
 
    Clocks: [Robust.mono_now] only, like every deadline/elapsed path in the
-   serve layer (DESIGN.md §12; lint-enforced for this file by name). *)
+   serve layer (DESIGN.md §12; lint-enforced for all of lib/serve). *)
 
 (* --- the ring ---------------------------------------------------------- *)
 
@@ -102,20 +101,15 @@ end
 
 (* --- state ------------------------------------------------------------- *)
 
-type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  mutable alive : bool;
-  mutable last_byte : float;
-  mutable partial_since : float;
-  outq : slot Queue.t;  (* this connection's response slots, FIFO *)
-}
+type client = cstate Loop.conn
+
+and cstate = { outq : slot Queue.t  (* this client's response slots, FIFO *) }
 
 (* One request's place in its connection's response order.  [reply] is the
    raw response frame once known; [stop_after] marks the [Bye] whose write
    stops the router. *)
 and slot = {
-  owner : conn;
+  owner : client;
   mutable reply : string option;
   is_query : bool;  (* counts against [max_pending] until settled *)
   raw : string;  (* the query's original frame bytes, for (re-)relay *)
@@ -128,9 +122,7 @@ and slot = {
 type shard = {
   name : string;  (* the endpoint spec; also the ring member name *)
   addr : Addr.t;
-  mutable sfd : Unix.file_descr option;  (* [None] = down *)
-  sinbuf : Buffer.t;
-  mutable spartial_since : float;
+  mutable link : Loop.link option;  (* [None] = down *)
   inflight : inflight Queue.t;  (* requests relayed, awaiting responses *)
   mutable routed : int;  (* queries ever routed here (balance counter) *)
   mutable attempt : int;  (* consecutive failed dials, for backoff *)
@@ -147,21 +139,18 @@ and statfan = {
 
 type t = {
   listen : string;
-  mutable bound : string option;
+  loop : cstate Loop.t;
   shards : shard array;
   mutable ring : Ring.t option;  (* over live shards; [None] = all down *)
   max_pending : int;
   failover_hops : int;
-  idle_timeout_s : float;
-  frame_timeout_s : float;
-  write_timeout_s : float;
   connect_timeout_s : float;
   reconnect_base_s : float;
   reconnect_max_s : float;
   log : string -> unit;
   mutable outstanding : int;  (* query slots awaiting a settle *)
-  mutable stopping : bool;
-  (* counters (single-threaded loop: plain ints) *)
+  (* counters (single-threaded loop: plain ints); the connection-level ones
+     live in [Loop.counters] *)
   mutable c_requests : int;
   mutable c_routed : int;
   mutable c_relayed : int;
@@ -172,143 +161,89 @@ type t = {
   mutable c_no_shard_errors : int;
   mutable c_shard_deaths : int;
   mutable c_reconnects : int;
-  mutable c_protocol_errors : int;
   mutable c_request_errors : int;
-  mutable c_write_stalls : int;
-  mutable c_reaped_idle : int;
-  mutable c_reaped_trickle : int;
 }
 
-let bound_endpoint t = t.bound
+let bound_endpoint t = Loop.bound t.loop
 
 let create ?(max_pending = 1024) ?(failover_hops = 1) ?(idle_timeout_s = 60.0)
     ?(frame_timeout_s = 10.0) ?(write_timeout_s = 5.0)
     ?(connect_timeout_s = 2.0) ?(reconnect_base_s = 0.05)
     ?(reconnect_max_s = 2.0) ?(log = ignore) ~listen ~shards () =
   if shards = [] then invalid_arg "Router.create: no shards";
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      if Hashtbl.mem seen s then
-        invalid_arg ("Router.create: duplicate shard " ^ s);
-      Hashtbl.add seen s ())
+  List.iteri
+    (fun i s ->
+      if List.exists (( = ) s) (List.filteri (fun j _ -> j < i) shards) then
+        invalid_arg ("Router.create: duplicate shard " ^ s))
     shards;
-  ignore (Addr.of_string listen);
   let shards =
     Array.of_list
       (List.map
          (fun name ->
-           {
-             name;
-             addr = Addr.of_string name;
-             sfd = None;
-             sinbuf = Buffer.create 1024;
-             spartial_since = 0.0;
-             inflight = Queue.create ();
-             routed = 0;
-             attempt = 0;
-             next_try = 0.0;
-           })
+           { name; addr = Addr.of_string name; link = None;
+             inflight = Queue.create (); routed = 0; attempt = 0; next_try = 0.0 })
          shards)
   in
   {
     listen;
-    bound = None;
+    loop =
+      Loop.create ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log listen;
     shards;
     ring = None;
     max_pending = max 1 max_pending;
     failover_hops = max 0 failover_hops;
-    idle_timeout_s;
-    frame_timeout_s;
-    write_timeout_s;
     connect_timeout_s;
     reconnect_base_s;
     reconnect_max_s;
     log;
     outstanding = 0;
-    stopping = false;
-    c_requests = 0;
-    c_routed = 0;
-    c_relayed = 0;
-    c_relayed_busy = 0;
-    c_failovers = 0;
-    c_failed_over_errors = 0;
-    c_shed = 0;
-    c_no_shard_errors = 0;
-    c_shard_deaths = 0;
-    c_reconnects = 0;
-    c_protocol_errors = 0;
-    c_request_errors = 0;
-    c_write_stalls = 0;
-    c_reaped_idle = 0;
-    c_reaped_trickle = 0;
+    c_requests = 0; c_routed = 0; c_relayed = 0; c_relayed_busy = 0;
+    c_failovers = 0; c_failed_over_errors = 0; c_shed = 0; c_no_shard_errors = 0;
+    c_shard_deaths = 0; c_reconnects = 0; c_request_errors = 0;
   }
 
 let live_count t =
   Array.fold_left
-    (fun acc sh -> if sh.sfd <> None then acc + 1 else acc)
+    (fun acc sh -> if sh.link <> None then acc + 1 else acc)
     0 t.shards
 
 let rebuild_ring t =
   let live =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter_map
-            (fun sh -> if sh.sfd <> None then Some sh.name else None)
-            (Array.to_seq t.shards)))
+    List.filter_map
+      (fun sh -> if sh.link <> None then Some sh.name else None)
+      (Array.to_list t.shards)
   in
   t.ring <- (if live = [] then None else Some (Ring.create live))
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let stats_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{";
-  let first = ref true in
-  let field k v =
-    if not !first then Buffer.add_string b ", ";
-    first := false;
-    Printf.bprintf b "%S: %s" k v
+  let ints =
+    [
+      ("shards", Array.length t.shards);
+      ("shards_up", live_count t);
+      ("requests", t.c_requests);
+      ("routed", t.c_routed);
+      ("relayed", t.c_relayed);
+      ("relayed_busy", t.c_relayed_busy);
+      ("failovers", t.c_failovers);
+      ("failover_errors", t.c_failed_over_errors);
+      ("shed", t.c_shed);
+      ("no_shard_errors", t.c_no_shard_errors);
+      ("shard_deaths", t.c_shard_deaths);
+      ("reconnects", t.c_reconnects);
+      ("request_errors", t.c_request_errors);
+    ]
+    @ Metrics.io_fields (Loop.counters t.loop)
+    @ [
+        ("connections", Loop.connections t.loop);
+        ("outstanding", t.outstanding);
+        ("max_pending", t.max_pending);
+        ("failover_hops", t.failover_hops);
+        ("protocol_version", Protocol.version);
+      ]
   in
-  let int k v = field k (string_of_int v) in
-  field "listen"
-    (Printf.sprintf "\"%s\""
-       (json_escape (match t.bound with Some s -> s | None -> t.listen)));
-  int "shards" (Array.length t.shards);
-  int "shards_up" (live_count t);
-  int "requests" t.c_requests;
-  int "routed" t.c_routed;
-  int "relayed" t.c_relayed;
-  int "relayed_busy" t.c_relayed_busy;
-  int "failovers" t.c_failovers;
-  int "failover_errors" t.c_failed_over_errors;
-  int "shed" t.c_shed;
-  int "no_shard_errors" t.c_no_shard_errors;
-  int "shard_deaths" t.c_shard_deaths;
-  int "reconnects" t.c_reconnects;
-  int "protocol_errors" t.c_protocol_errors;
-  int "request_errors" t.c_request_errors;
-  int "write_stalls" t.c_write_stalls;
-  int "reaped_idle" t.c_reaped_idle;
-  int "reaped_trickle" t.c_reaped_trickle;
-  int "outstanding" t.outstanding;
-  int "max_pending" t.max_pending;
-  int "failover_hops" t.failover_hops;
-  int "protocol_version" Protocol.version;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Printf.sprintf "{\"listen\": \"%s\", %s}"
+    (Metrics.json_escape (Option.value (Loop.bound t.loop) ~default:t.listen))
+    (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) ints))
 
 (* Aggregate [stats] answer: the router section, one entry per shard (its
    own stats JSON embedded verbatim when it answered), and totals summed
@@ -320,11 +255,11 @@ let compose_stats t (fan : statfan) =
     (fun i sh ->
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b "{\"name\": \"%s\", \"up\": %b, \"routed\": %d"
-        (json_escape sh.name) (sh.sfd <> None) sh.routed;
+        (Metrics.json_escape sh.name) (sh.link <> None) sh.routed;
       (match fan.results.(i) with
       | Some (Ok json) -> Printf.bprintf b ", \"stats\": %s" json
       | Some (Error e) ->
-          Printf.bprintf b ", \"error\": \"%s\"" (json_escape e)
+          Printf.bprintf b ", \"error\": \"%s\"" (Metrics.json_escape e)
       | None -> ());
       Buffer.add_string b "}")
     t.shards;
@@ -354,70 +289,21 @@ let compose_stats t (fan : statfan) =
   Buffer.add_string b "}}";
   Buffer.contents b
 
-(* --- IO helpers --------------------------------------------------------- *)
-
-let close_conn conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-exception Write_stall
-
-(* Same bounded non-blocking writer as [Server]: the whole frame goes out
-   within [write_timeout_s] or the peer is declared stalled.  Carries the
-   [Faults] network hooks so chaos tests exercise the router's write path
-   the way they exercise the daemon's. *)
-let write_bounded t fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let deadline = Robust.mono_now () +. t.write_timeout_s in
-  let rec go off =
-    if off < n then begin
-      if Robust.Faults.net_drop_tick () then
-        raise (Unix.Unix_error (Unix.EPIPE, "write", "injected drop"));
-      let len = n - off in
-      let len =
-        match Robust.Faults.net_io_cap () with
-        | Some cap -> min cap len
-        | None -> len
-      in
-      match Unix.write fd b off len with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          let remaining = deadline -. Robust.mono_now () in
-          if remaining <= 0.0 then raise Write_stall;
-          (match Unix.select [] [ fd ] [] remaining with
-          | _, [], _ -> raise Write_stall
-          | _ -> ());
-          go off
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    end
-  in
-  go 0
+(* --- responses ----------------------------------------------------------- *)
 
 (* Write every settled slot at the head of [conn]'s response queue.  Dead
    connections still drain their queue (drop the frames) so settled slots
    never pile up behind a gone client. *)
 let flush_client t conn =
+  let outq = (Loop.state conn).outq in
   let continue = ref true in
   while !continue do
-    match Queue.peek_opt conn.outq with
-    | Some slot when slot.reply <> None ->
-        ignore (Queue.pop conn.outq);
-        let frame = Option.get slot.reply in
-        if conn.alive then begin
-          (match write_bounded t conn.fd frame with
-          | () -> ()
-          | exception Write_stall ->
-              t.c_write_stalls <- t.c_write_stalls + 1;
-              t.log "client not draining responses; dropping connection";
-              close_conn conn
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-            ->
-              t.log "client went away mid-response";
-              close_conn conn);
-          if slot.stop_after then t.stopping <- true
+    match Queue.peek_opt outq with
+    | Some { reply = Some frame; stop_after; _ } ->
+        ignore (Queue.pop outq);
+        if Loop.alive conn then begin
+          Loop.send t.loop conn frame;
+          if stop_after then Loop.stop t.loop
         end
     | _ -> continue := false
   done
@@ -435,11 +321,18 @@ let settle_resp t slot resp = settle t slot (Protocol.response_to_frame resp)
 (* --- shard links -------------------------------------------------------- *)
 
 let shard_by_name t name =
-  let found = ref None in
-  Array.iter (fun sh -> if sh.name = name then found := Some sh) t.shards;
-  match !found with Some sh -> sh | None -> assert false
+  Option.get (Array.find_opt (fun sh -> sh.name = name) t.shards)
 
 let retry_hint t = min 2000 (50 * (1 + (t.outstanding / 32)))
+
+(* One more failed dial (or death): the next redial waits out the capped,
+   per-shard-seeded backoff. *)
+let schedule_redial t sh =
+  sh.attempt <- sh.attempt + 1;
+  sh.next_try <-
+    Robust.mono_now ()
+    +. Robust.backoff_delay ~base_s:t.reconnect_base_s ~max_s:t.reconnect_max_s
+         ~seed:(Hashtbl.hash sh.name) ~attempt:sh.attempt ()
 
 (* Relay a query slot to the shard owning its key.  On a relay failure the
    shard goes down, which re-settles or re-routes this very slot along with
@@ -451,19 +344,17 @@ let rec forward t slot =
       settle_resp t slot (Protocol.Error_msg "router: no shards available")
   | Some ring -> (
       let sh = shard_by_name t (Ring.lookup ring slot.skey) in
-      match sh.sfd with
+      match sh.link with
       | None ->
           (* The ring only holds live shards; a raced-down link settles as
              a death would. *)
           failover t sh slot
-      | Some fd -> (
+      | Some link ->
           slot.hops <- slot.hops + 1;
           Queue.add (Iquery slot) sh.inflight;
           sh.routed <- sh.routed + 1;
           t.c_routed <- t.c_routed + 1;
-          match write_bounded t fd slot.raw with
-          | () -> ()
-          | exception _ -> shard_down t sh))
+          Loop.send_link t.loop link slot.raw)
 
 (* The failover rule for one in-flight query on a dead shard: predict-only
    queries hop to their new ring owner while budget remains; measured ones
@@ -488,25 +379,18 @@ and failover t sh slot =
     forward t slot
   end
 
-(* A shard link died (EOF, reset, stalled write, torn frame, unsolicited
-   response).  Drop the link, remove the shard from the ring (remapping
-   only its arcs), then settle its whole in-flight queue under the
-   failover rule — re-relays target the rebuilt ring, so a cascade of
+(* A shard link died (EOF, reset, stalled write or read, torn frame,
+   unsolicited response).  Drop the link, remove the shard from the ring
+   (remapping only its arcs), then settle its whole in-flight queue under
+   the failover rule — re-relays target the rebuilt ring, so a cascade of
    deaths terminates on the hop budget. *)
 and shard_down t sh =
-  (match sh.sfd with
-  | Some fd -> (
-      sh.sfd <- None;
-      try Unix.close fd with Unix.Unix_error _ -> ())
+  (match sh.link with
+  | Some link ->
+      sh.link <- None;
+      Loop.drop_link t.loop link
   | None -> ());
-  Buffer.clear sh.sinbuf;
-  sh.spartial_since <- 0.0;
-  sh.attempt <- sh.attempt + 1;
-  sh.next_try <-
-    Robust.mono_now ()
-    +. Robust.backoff_delay ~base_s:t.reconnect_base_s
-         ~max_s:t.reconnect_max_s ~seed:(Hashtbl.hash sh.name)
-         ~attempt:sh.attempt ();
+  schedule_redial t sh;
   t.c_shard_deaths <- t.c_shard_deaths + 1;
   rebuild_ring t;
   t.log (Printf.sprintf "shard %s down (%d in flight)" sh.name
@@ -525,30 +409,46 @@ and shard_down t sh =
               (Protocol.Stats_json (compose_stats t fan)))
     orphans
 
+(* Responses off one shard link.  The link is FIFO on both sides, so each
+   complete frame pairs with the oldest in-flight relay; the frame goes back
+   to the client as the exact bytes the shard sent. *)
+let shard_frame t sh msg body =
+  match Queue.take_opt sh.inflight with
+  | None ->
+      (* An unsolicited frame: the link is out of sync; resync by redial. *)
+      shard_down t sh
+  | Some (Iquery slot) ->
+      t.c_relayed <- t.c_relayed + 1;
+      if msg = Protocol.msg_busy then t.c_relayed_busy <- t.c_relayed_busy + 1;
+      settle t slot (Protocol.encode_frame ~msg body)
+  | Some (Istat (fan, i)) ->
+      (match Protocol.response_of_frame ~msg body with
+      | Ok (Protocol.Stats_json j) -> fan.results.(i) <- Some (Ok j)
+      | Ok (Protocol.Error_msg e) -> fan.results.(i) <- Some (Error e)
+      | _ -> fan.results.(i) <- Some (Error "unexpected response"));
+      fan.waiting <- fan.waiting - 1;
+      if fan.waiting = 0 then
+        settle_resp t fan.fan_slot (Protocol.Stats_json (compose_stats t fan))
+
 let try_connect t sh =
-  match Addr.connect ~timeout_s:t.connect_timeout_s sh.addr with
-  | fd ->
-      Unix.set_nonblock fd;
-      sh.sfd <- Some fd;
+  match
+    Loop.dial t.loop ~timeout_s:t.connect_timeout_s sh.addr
+      ~on_frame:(shard_frame t sh) ~on_down:(fun reason ->
+        t.log (Printf.sprintf "shard %s: %s" sh.name reason);
+        shard_down t sh)
+  with
+  | link ->
+      sh.link <- Some link;
       sh.attempt <- 0;
       rebuild_ring t;
-      if t.c_reconnects > 0 || t.bound <> None then
-        t.log (Printf.sprintf "shard %s admitted to the ring" sh.name);
-      t.c_reconnects <- t.c_reconnects + 1;
-      true
-  | exception _ ->
-      sh.attempt <- sh.attempt + 1;
-      sh.next_try <-
-        Robust.mono_now ()
-        +. Robust.backoff_delay ~base_s:t.reconnect_base_s
-             ~max_s:t.reconnect_max_s ~seed:(Hashtbl.hash sh.name)
-             ~attempt:sh.attempt ();
-      false
+      t.log (Printf.sprintf "shard %s admitted to the ring" sh.name);
+      t.c_reconnects <- t.c_reconnects + 1
+  | exception _ -> schedule_redial t sh
 
 let reconnect_pass t =
   let now = Robust.mono_now () in
   Array.iter
-    (fun sh -> if sh.sfd = None && now >= sh.next_try then ignore (try_connect t sh))
+    (fun sh -> if sh.link = None && now >= sh.next_try then try_connect t sh)
     t.shards
 
 (* --- request handling --------------------------------------------------- *)
@@ -559,7 +459,7 @@ let push_slot ?(is_query = false) ?(raw = "") ?(skey = "") ?(measure = false)
     { owner = conn; reply = None; is_query; raw; skey; measure; hops = 0;
       stop_after }
   in
-  Queue.add slot conn.outq;
+  Queue.add slot (Loop.state conn).outq;
   slot
 
 (* The routing key: the fingerprint's sketch hex for an inline matrix —
@@ -600,7 +500,7 @@ let handle_stats t conn =
   in
   Array.iteri
     (fun i sh ->
-      match sh.sfd with
+      match sh.link with
       | None -> ()
       | Some _ ->
           fan.waiting <- fan.waiting + 1;
@@ -611,265 +511,45 @@ let handle_stats t conn =
   else
     (* Relay the stats frame on each live link only after every queue entry
        exists: a send failure mid-iteration tears that shard down, which
-       must find the fan entries of the shards already enqueued. *)
+       must find the fan entries of the shards already enqueued.  A link
+       still up here got its entry above: links only come up at the end of
+       a round, never in the middle of this one. *)
     Array.iter
       (fun sh ->
-        match sh.sfd with
-        | None -> ()
-        | Some fd -> (
-            let has_fan =
-              Queue.fold
-                (fun acc item ->
-                  acc || match item with Istat (f, _) -> f == fan | _ -> false)
-                false sh.inflight
-            in
-            if has_fan then
-              match
-                write_bounded t fd (Protocol.request_to_frame Protocol.Stats)
-              with
-              | () -> ()
-              | exception _ -> shard_down t sh))
+        Option.iter
+          (fun link ->
+            Loop.send_link t.loop link (Protocol.request_to_frame Protocol.Stats))
+          sh.link)
       t.shards
 
-let drain_client_frames t conn =
-  let continue = ref true in
-  while !continue do
-    let s = Buffer.contents conn.inbuf in
-    match Protocol.decode_frame s with
-    | `Need _ -> continue := false
-    | `Bad reason ->
-        t.c_protocol_errors <- t.c_protocol_errors + 1;
-        (try
-           write_bounded t conn.fd
-             (Protocol.response_to_frame
-                (Protocol.Error_msg ("protocol: " ^ reason)))
-         with _ -> ());
-        close_conn conn;
-        continue := false
-    | `Frame (msg, body, consumed) -> (
-        let raw = String.sub s 0 consumed in
-        Buffer.clear conn.inbuf;
-        Buffer.add_substring conn.inbuf s consumed (String.length s - consumed);
-        match Protocol.request_of_frame ~msg body with
-        | Ok req -> (
-            t.c_requests <- t.c_requests + 1;
-            match req with
-            | Protocol.Query q -> handle_query t conn q raw
-            | Protocol.Ping ->
-                let slot = push_slot conn in
-                settle_resp t slot Protocol.Pong
-            | Protocol.Stats -> handle_stats t conn
-            | Protocol.Shutdown ->
-                let slot = push_slot ~stop_after:true conn in
-                settle_resp t slot Protocol.Bye)
-        | Error e ->
-            t.c_request_errors <- t.c_request_errors + 1;
-            let slot = push_slot conn in
-            settle_resp t slot (Protocol.Error_msg ("request: " ^ e)))
-  done
-
-(* Responses off one shard link.  The link is FIFO on both sides, so each
-   complete frame pairs with the oldest in-flight relay. *)
-let drain_shard_frames t sh =
-  let continue = ref true in
-  while !continue && sh.sfd <> None do
-    let s = Buffer.contents sh.sinbuf in
-    match Protocol.decode_frame s with
-    | `Need _ -> continue := false
-    | `Bad _ ->
-        shard_down t sh;
-        continue := false
-    | `Frame (msg, body, consumed) -> (
-        let frame = String.sub s 0 consumed in
-        Buffer.clear sh.sinbuf;
-        Buffer.add_substring sh.sinbuf s consumed (String.length s - consumed);
-        match Queue.take_opt sh.inflight with
-        | None ->
-            (* An unsolicited frame: the link is out of sync; resync by
-               redial. *)
-            shard_down t sh;
-            continue := false
-        | Some (Iquery slot) ->
-            t.c_relayed <- t.c_relayed + 1;
-            if msg = Protocol.msg_busy then
-              t.c_relayed_busy <- t.c_relayed_busy + 1;
-            settle t slot frame
-        | Some (Istat (fan, i)) ->
-            (match Protocol.response_of_frame ~msg body with
-            | Ok (Protocol.Stats_json j) -> fan.results.(i) <- Some (Ok j)
-            | Ok (Protocol.Error_msg e) -> fan.results.(i) <- Some (Error e)
-            | _ -> fan.results.(i) <- Some (Error "unexpected response"));
-            fan.waiting <- fan.waiting - 1;
-            if fan.waiting = 0 then
-              settle_resp t fan.fan_slot
-                (Protocol.Stats_json (compose_stats t fan)))
-  done
-
-let reap t conns =
-  let now = Robust.mono_now () in
-  List.iter
-    (fun conn ->
-      if conn.alive then
-        if
-          conn.partial_since > 0.0
-          && now -. conn.partial_since > t.frame_timeout_s
-        then begin
-          t.c_reaped_trickle <- t.c_reaped_trickle + 1;
-          t.log "reaped client stalled mid-frame";
-          close_conn conn
-        end
-        else if now -. conn.last_byte > t.idle_timeout_s then begin
-          t.c_reaped_idle <- t.c_reaped_idle + 1;
-          t.log "reaped idle client";
-          close_conn conn
-        end)
-    conns;
-  (* A shard stalled mid-frame is a dead shard: its frame will never
-     complete, and every response behind it is stuck.  (An idle shard link
-     is just a quiet shard — never reaped.) *)
-  Array.iter
-    (fun sh ->
-      if
-        sh.sfd <> None && sh.spartial_since > 0.0
-        && now -. sh.spartial_since > t.frame_timeout_s
-      then begin
-        t.log (Printf.sprintf "shard %s stalled mid-frame" sh.name);
-        shard_down t sh
-      end)
-    t.shards
+(* One complete client frame.  A query keeps its exact frame bytes for
+   relay; control requests answer here. *)
+let client_frame t conn msg body =
+  match Protocol.request_of_frame ~msg body with
+  | Ok req -> (
+      t.c_requests <- t.c_requests + 1;
+      match req with
+      | Protocol.Query q ->
+          handle_query t conn q (Protocol.encode_frame ~msg body)
+      | Protocol.Ping -> settle_resp t (push_slot conn) Protocol.Pong
+      | Protocol.Stats -> handle_stats t conn
+      | Protocol.Shutdown ->
+          settle_resp t (push_slot ~stop_after:true conn) Protocol.Bye)
+  | Error e ->
+      t.c_request_errors <- t.c_request_errors + 1;
+      settle_resp t (push_slot conn) (Protocol.Error_msg ("request: " ^ e))
 
 (* --- the loop ----------------------------------------------------------- *)
 
 let run ?(on_ready = ignore) t =
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  let addr = Addr.of_string t.listen in
-  let listen_fd = Addr.listen addr in
-  let addr = Addr.resolve_bound addr listen_fd in
-  Array.iter (fun sh -> ignore (try_connect t sh)) t.shards;
-  t.bound <- Some (Addr.to_string addr);
-  t.log
-    (Printf.sprintf "routing on %s over %d shard(s), %d up"
-       (Addr.to_string addr) (Array.length t.shards) (live_count t));
-  on_ready ();
-  let conns : conn list ref = ref [] in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Addr.cleanup addr;
-    List.iter close_conn !conns;
-    Array.iter
-      (fun sh ->
-        match sh.sfd with
-        | Some fd -> (
-            sh.sfd <- None;
-            try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ())
-      t.shards;
-    match prev_sigpipe with
-    | Some h -> (
-        try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
-  in
-  let tick =
-    Float.max 0.02
-      (Float.min 1.0 (Float.min t.idle_timeout_s t.frame_timeout_s /. 4.0))
-  in
-  Fun.protect ~finally (fun () ->
-      let chunk = Bytes.create 65536 in
-      while not t.stopping do
-        conns := List.filter (fun c -> c.alive) !conns;
-        let client_fds = List.map (fun c -> c.fd) !conns in
-        let shard_fds =
-          Array.fold_left
-            (fun acc sh ->
-              match sh.sfd with Some fd -> fd :: acc | None -> acc)
-            [] t.shards
-        in
-        match
-          Unix.select ((listen_fd :: client_fds) @ shard_fds) [] [] tick
-        with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | readable, _, _ ->
-            if List.mem listen_fd readable then begin
-              let accepting = ref true in
-              while !accepting do
-                match Unix.accept listen_fd with
-                | fd, _ ->
-                    Unix.set_nonblock fd;
-                    Addr.nodelay fd;
-                    conns :=
-                      {
-                        fd;
-                        inbuf = Buffer.create 1024;
-                        alive = true;
-                        last_byte = Robust.mono_now ();
-                        partial_since = 0.0;
-                        outq = Queue.create ();
-                      }
-                      :: !conns
-                | exception
-                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                  ->
-                    accepting := false
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              done
-            end;
-            (* Shard responses first: they settle slots and free pending
-               budget before new client queries are considered. *)
-            Array.iter
-              (fun sh ->
-                match sh.sfd with
-                | Some fd when List.mem fd readable -> (
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 -> shard_down t sh
-                    | n ->
-                        Buffer.add_subbytes sh.sinbuf chunk 0 n;
-                        drain_shard_frames t sh;
-                        if Buffer.length sh.sinbuf = 0 then
-                          sh.spartial_since <- 0.0
-                        else if sh.spartial_since = 0.0 then
-                          sh.spartial_since <- Robust.mono_now ()
-                    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                        shard_down t sh
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                        ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-                | _ -> ())
-              t.shards;
-            List.iter
-              (fun conn ->
-                if conn.alive && List.mem conn.fd readable then begin
-                  if Robust.Faults.net_drop_tick () then close_conn conn
-                  else
-                    let len = Bytes.length chunk in
-                    let len =
-                      match Robust.Faults.net_io_cap () with
-                      | Some cap -> min cap len
-                      | None -> len
-                    in
-                    match Unix.read conn.fd chunk 0 len with
-                    | 0 -> close_conn conn
-                    | n ->
-                        conn.last_byte <- Robust.mono_now ();
-                        Buffer.add_subbytes conn.inbuf chunk 0 n;
-                        drain_client_frames t conn;
-                        if Buffer.length conn.inbuf = 0 then
-                          conn.partial_since <- 0.0
-                        else if conn.partial_since = 0.0 then
-                          conn.partial_since <- Robust.mono_now ()
-                    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                        close_conn conn
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                        ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                end)
-              !conns;
-            reconnect_pass t;
-            reap t !conns
-      done)
+  Loop.run t.loop
+    ~on_ready:(fun () ->
+      Array.iter (try_connect t) t.shards;
+      t.log
+        (Printf.sprintf "routing on %s over %d shard(s), %d up"
+           (Option.get (Loop.bound t.loop))
+           (Array.length t.shards) (live_count t));
+      on_ready ())
+    ~on_round:(fun () -> reconnect_pass t)
+    ~init:(fun () -> { outq = Queue.create () })
+    ~on_frame:(client_frame t)

@@ -2,10 +2,10 @@
    tuning requests over a Unix-domain or TCP socket ([Addr] spec) for as
    long as it lives.
 
-   One thread of control owns all IO: a [select] loop accepts connections,
-   accumulates bytes per connection and peels complete frames off with the
-   total [Protocol] decoder.  Decoded queries land on a FIFO; between IO
-   rounds the request scheduler drains it in micro-batches:
+   One thread of control owns all IO: the shared [Loop] accepts
+   connections and peels complete frames off each one.  Decoded queries
+   land on a FIFO; at the end of every IO round the request scheduler
+   drains it in micro-batches:
 
    - queries are parsed and fingerprinted, then deduplicated per batch —
      N clients asking about the same pattern cost one computation;
@@ -27,22 +27,11 @@
    through the scheduler: an expired query answers from the cache or the
    unmeasured asymptotic fallback (degraded, never cached) instead of
    computing.  Past the pending-queue high-water mark new queries answer
-   [Busy] with a retry hint instead of queueing without bound.  A client
-   that stalls mid-frame (trickle) or goes silent is reaped on a timeout;
-   one that never drains its responses is dropped when the bounded
-   non-blocking write gives up.  Every such event is a [Metrics] counter. *)
+   [Busy] with a retry hint instead of queueing without bound.  Tricklers,
+   silent clients and clients that never drain are the [Loop]'s to reap.
+   Every such event is a [Metrics] counter. *)
 
 open Machine_model
-
-type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  mutable alive : bool;
-  mutable last_byte : float;  (* when the last byte arrived (or accept time) *)
-  mutable partial_since : float;
-      (* when the current incomplete frame started accumulating; 0.0 at a
-         frame boundary (empty input buffer) *)
-}
 
 (* One served kernel: its trained model (replicated per worker domain, slot 0
    the loaded model itself) and its HNSW index.  The daemon owns one slot per
@@ -56,10 +45,7 @@ type slot = {
 
 type t = {
   socket_path : string;  (* the listen endpoint spec ([Addr] syntax) *)
-  mutable bound : string option;
-      (* the endpoint actually bound once [run] is listening — differs from
-         [socket_path] only for [tcp:HOST:0], where the kernel picks the
-         port; tests read it back instead of racing on a fixed port *)
+  loop : unit Loop.t;
   machine : Machine.t;
   slots : slot array;  (* slot 0 is the primary (the ~model/~index pair) *)
   default_slot : int;
@@ -74,19 +60,22 @@ type t = {
   k : int;
   ef : int;
   max_pending : int;  (* queued-query high-water mark; past it, shed *)
-  idle_timeout_s : float;
-  frame_timeout_s : float;
-  write_timeout_s : float;
   log : string -> unit;
-  queue : (conn * Protocol.request * float) Queue.t;  (* req + arrival time *)
+  queue : (unit Loop.conn * Protocol.request * float * float) Queue.t;
+      (* request, arrival time, seconds spent decoding its frame body *)
   mutable pending_queries : int;  (* queries currently in [queue] *)
-  mutable stopping : bool;
 }
 
 let metrics t = t.metrics
 let cache t = t.cache
 let cache_status t = t.cache_status
-let bound_endpoint t = t.bound
+let bound_endpoint t = Loop.bound t.loop
+
+let kernel_names slots =
+  Array.to_list (Array.map (fun s -> Waco.Kernel.name s.kernel) slots)
+
+let slot_of_kernel slots k =
+  Array.find_index (fun s -> Waco.Kernel.equal s.kernel k) slots
 
 let index_digest (index : Waco.Tuner.index) =
   Anns.Hnsw.fingerprint index.Waco.Tuner.hnsw ~payload:Schedule.Sched_io.serialize
@@ -116,27 +105,18 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
   in
   Array.iteri
     (fun i s ->
-      Array.iteri
-        (fun j s' ->
-          if i < j && Waco.Kernel.equal s.kernel s'.kernel then
-            invalid_arg
-              (Printf.sprintf "Server.create: kernel %s served twice"
-                 (Waco.Kernel.name s.kernel)))
-        slots)
+      if slot_of_kernel slots s.kernel <> Some i then
+        invalid_arg
+          (Printf.sprintf "Server.create: kernel %s served twice"
+             (Waco.Kernel.name s.kernel)))
     slots;
   let default_slot =
-    let spmv = ref 0 in
-    Array.iteri
-      (fun i s -> if Waco.Kernel.equal s.kernel Waco.Kernel.default then spmv := i)
-      slots;
-    !spmv
+    Option.value ~default:0 (slot_of_kernel slots Waco.Kernel.default)
   in
   let join f = String.concat "+" (Array.to_list (Array.map f slots)) in
   let model_digest = join (fun s -> Waco.Costmodel.digest s.replicas.(0)) in
   let idx_digest = join (fun s -> index_digest s.index) in
-  let namespaces =
-    Array.to_list (Array.map (fun s -> Waco.Kernel.name s.kernel) slots)
-  in
+  let namespaces = kernel_names slots in
   let machine_name = machine.Machine.name in
   let cache, cache_status =
     match cache_file with
@@ -163,12 +143,12 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
             ~index_digest:idx_digest ~machine:machine_name (),
           "cold" )
   in
-  (* Fail fast on a malformed listen spec: a daemon that parses its
-     endpoint only at [run] time dies after the expensive model load. *)
-  ignore (Addr.of_string socket);
+  let metrics = Metrics.create () in
   {
     socket_path = socket;
-    bound = None;
+    loop =
+      Loop.create ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log
+        ~counters:metrics.Metrics.io socket;
     machine;
     slots;
     default_slot;
@@ -176,18 +156,14 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
     cache;
     cache_file;
     cache_status;
-    metrics = Metrics.create ();
+    metrics;
     max_batch = max 1 max_batch;
     k;
     ef;
     max_pending = max 1 max_pending;
-    idle_timeout_s;
-    frame_timeout_s;
-    write_timeout_s;
     log;
     queue = Queue.create ();
     pending_queries = 0;
-    stopping = false;
   }
 
 (* --- query processing ------------------------------------------------- *)
@@ -220,21 +196,13 @@ let slot_for t (kernel : Waco.Kernel.t option) =
   match kernel with
   | None -> Ok t.default_slot
   | Some k -> (
-      let found = ref None in
-      Array.iteri
-        (fun i s -> if Waco.Kernel.equal s.kernel k then found := Some i)
-        t.slots;
-      match !found with
+      match slot_of_kernel t.slots k with
       | Some i -> Ok i
       | None ->
           Error
             (Printf.sprintf "kernel %s not served (this daemon serves %s)"
                (Waco.Kernel.name k)
-               (String.concat ", "
-                  (Array.to_list
-                     (Array.map
-                        (fun s -> Waco.Kernel.name s.kernel)
-                        t.slots)))))
+               (String.concat ", " (kernel_names t.slots))))
 
 let answer_of_result ~cache_hit ~span (r : Waco.Tuner.result) : Protocol.answer =
   {
@@ -283,16 +251,16 @@ let note_result t (r : Waco.Tuner.result) =
       m.measured_runs <- m.measured_runs + r.Waco.Tuner.measured_runs;
       m.measure_failures <- m.measure_failures + r.Waco.Tuner.measure_failures;
       m.retries_absorbed <- m.retries_absorbed + r.Waco.Tuner.measure_retries;
-      m.asym_pruned <- m.asym_pruned + r.Waco.Tuner.asym_pruned);
-  if r.Waco.Tuner.degraded then
-    Metrics.bump t.metrics (fun m -> m.degraded <- m.degraded + 1)
+      m.asym_pruned <- m.asym_pruned + r.Waco.Tuner.asym_pruned;
+      if r.Waco.Tuner.degraded then m.degraded <- m.degraded + 1)
 
 (* One computed miss: run the factored tuner entry point on the resolved
    slot's worker replica and record what it spent. *)
 let compute_one t slot ~worker ~key ~measure ?deadline_at m =
   let mt = t.metrics in
-  Metrics.bump mt (fun m -> m.extractor_forwards <- m.extractor_forwards + 1);
-  Metrics.bump mt (fun m -> m.traversals <- m.traversals + 1);
+  Metrics.bump mt (fun m ->
+      m.extractor_forwards <- m.extractor_forwards + 1;
+      m.traversals <- m.traversals + 1);
   let r =
     Waco.Tuner.query slot.replicas.(worker) t.machine ~k:t.k ~ef:t.ef ~measure
       ?deadline_at ~id:key m slot.index
@@ -338,19 +306,14 @@ let compute_batched t miss_keys misses computed =
           m.extractor_forwards <- m.extractor_forwards + Array.length idxs;
           m.traversals <- m.traversals + Array.length idxs;
           m.vm_batched_runs <- m.vm_batched_runs + 1);
-      let t0 = Robust.mono_now () in
       let results =
         Waco.Tuner.query_batch slot.replicas.(0) t.machine ~k:t.k ~ef:t.ef
           queries slot.index
       in
-      let secs =
-        (Robust.mono_now () -. t0) /. float_of_int (max 1 (Array.length idxs))
-      in
       Array.iteri
         (fun j i ->
-          let r = results.(j) in
-          note_result t r;
-          Hashtbl.replace computed miss_keys.(i) (r, secs))
+          note_result t results.(j);
+          Hashtbl.replace computed miss_keys.(i) results.(j))
         idxs)
     (List.rev !group_order)
 
@@ -370,15 +333,31 @@ let deadline_fallback t slot ~key ~span m =
   Metrics.record_span t.metrics span;
   Protocol.Answer (answer_of_result ~cache_hit:false ~span r)
 
-(* Process one micro-batch of arrival-stamped queries.  Returns each query's
+(* Write-through persist of the schedule cache.  A failure is counted and
+   logged, never raised: the daemon keeps serving from memory. *)
+let persist t =
+  match t.cache_file with
+  | Some file -> (
+      try Cache.save t.cache file
+      with e ->
+        Metrics.bump t.metrics (fun m ->
+            m.cache_persist_failures <- m.cache_persist_failures + 1);
+        t.log
+          (Printf.sprintf "cache: persist to %s failed: %s" file
+             (Printexc.to_string e)))
+  | None -> ()
+
+(* Process one micro-batch of queries, each stamped with its arrival time
+   and the seconds its frame body took to decode.  Returns each query's
    response in input order. *)
-let process_stamped t (batch : (Protocol.query * float) list) :
+let process_stamped t (batch : (Protocol.query * float * float) list) :
     Protocol.response list =
   Metrics.record_batch t.metrics (List.length batch);
-  (* Phase A (sequential, cheap): parse + fingerprint + cache probe. *)
+  (* Phase A (sequential, cheap): parse + fingerprint + cache probe.  A
+     query's [parse_s] covers its wire decode too. *)
   let parsed =
     List.map
-      (fun ((q : Protocol.query), arrival) ->
+      (fun ((q : Protocol.query), arrival, decode_s) ->
         let span = Metrics.span_create () in
         let t0 = Robust.mono_now () in
         let outcome =
@@ -394,7 +373,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
                         ~measure:q.Protocol.measure (Fingerprint.of_coo m),
                       m ))
         in
-        span.Metrics.parse_s <- Robust.mono_now () -. t0;
+        span.Metrics.parse_s <- decode_s +. (Robust.mono_now () -. t0);
         (q, deadline_at_of q ~arrival, span, outcome))
       batch
   in
@@ -431,22 +410,22 @@ let process_stamped t (batch : (Protocol.query * float) list) :
   let computed = Hashtbl.create 8 in
   (match t.pool with
   | Some p when Parallel.Pool.domains p > 1 && Array.length miss_keys > 1 ->
-      let work key ~worker =
-        let si, m, measure, deadline_at = Hashtbl.find misses key in
-        let t0 = Robust.mono_now () in
-        let r =
-          compute_one t t.slots.(si) ~worker ~key ~measure ?deadline_at m
-        in
-        (key, r, Robust.mono_now () -. t0)
-      in
       let results =
-        Parallel.Pool.map_workers p (fun ~worker key -> work key ~worker)
+        Parallel.Pool.map_workers p
+          (fun ~worker key ->
+            let si, m, measure, deadline_at = Hashtbl.find misses key in
+            compute_one t t.slots.(si) ~worker ~key ~measure ?deadline_at m)
           miss_keys
       in
-      Array.iter
-        (fun (key, r, secs) -> Hashtbl.replace computed key (r, secs))
-        results
+      Array.iteri (fun i r -> Hashtbl.replace computed miss_keys.(i) r) results
   | _ -> compute_batched t miss_keys misses computed);
+  (* Features are per pattern and every computed answer is already in hand,
+     so the replicas' feature and pyramid caches only grow from here on:
+     dropping them bounds daemon memory by the schedule LRU, not by the
+     number of distinct patterns ever seen. *)
+  Array.iter
+    (fun s -> Array.iter Waco.Costmodel.clear_feature_cache s.replicas)
+    t.slots;
   (* Phase C (sequential): cache insertion in deterministic order, one
      write-through persist per batch, answers in input order.  Degraded
      answers — including every deadline-truncated one — never enter the
@@ -454,7 +433,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
   let fresh = ref false in
   Array.iter
     (fun key ->
-      let r, _ = Hashtbl.find computed key in
+      let r = Hashtbl.find computed key in
       if not r.Waco.Tuner.degraded then begin
         Cache.add t.cache key
           {
@@ -466,17 +445,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
         fresh := true
       end)
     miss_keys;
-  (if !fresh then
-     match t.cache_file with
-     | Some file -> (
-         try Cache.save t.cache file
-         with e ->
-           Metrics.bump t.metrics (fun m ->
-               m.cache_persist_failures <- m.cache_persist_failures + 1);
-           t.log
-             (Printf.sprintf "cache: persist to %s failed: %s" file
-                (Printexc.to_string e)))
-     | None -> ());
+  if !fresh then persist t;
   let note_deadline_miss dl (resp : Protocol.response) =
     let reason_is_deadline =
       match resp with
@@ -498,7 +467,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
           Protocol.Error_msg e
       | `Parsed (si, key, m) -> (
           match Hashtbl.find_opt computed key with
-          | Some (r, _secs) ->
+          | Some r ->
               span.Metrics.extract_s <- r.Waco.Tuner.feature_seconds;
               span.Metrics.traverse_s <- r.Waco.Tuner.search_seconds;
               span.Metrics.measure_s <- r.Waco.Tuner.measure_seconds;
@@ -536,144 +505,68 @@ let process_stamped t (batch : (Protocol.query * float) list) :
    query's deadline budget includes its queue wait. *)
 let process_batch t (batch : Protocol.query list) : Protocol.response list =
   let now = Robust.mono_now () in
-  process_stamped t (List.map (fun q -> (q, now)) batch)
+  process_stamped t (List.map (fun q -> (q, now, 0.0)) batch)
 
-(* --- the IO loop ------------------------------------------------------- *)
+(* --- the frame handler -------------------------------------------------- *)
 
 let stats_json t =
+  let sum f = Array.fold_left (fun acc s -> acc + f s.index) 0 t.slots in
   Metrics.to_json
     ~extra_ints:
       [
         ("cache_size", Cache.size t.cache);
         ("cache_capacity", Cache.capacity t.cache);
         ("cache_evictions", Cache.evictions t.cache);
-        ( "index_size",
-          Array.fold_left
-            (fun acc s -> acc + Anns.Hnsw.size s.index.Waco.Tuner.hnsw)
-            0 t.slots );
-        ( "index_lint_rejected",
-          Array.fold_left
-            (fun acc s -> acc + s.index.Waco.Tuner.lint_rejected)
-            0 t.slots );
-        ( "index_asym_rejected",
-          Array.fold_left
-            (fun acc s -> acc + s.index.Waco.Tuner.asym_rejected)
-            0 t.slots );
+        ("index_size", sum (fun i -> Anns.Hnsw.size i.Waco.Tuner.hnsw));
+        ("index_lint_rejected", sum (fun i -> i.Waco.Tuner.lint_rejected));
+        ("index_asym_rejected", sum (fun i -> i.Waco.Tuner.asym_rejected));
         ("domains", Array.length t.slots.(0).replicas);
         ("pending", t.pending_queries);
         ("max_pending", t.max_pending);
+        ("connections", Loop.connections t.loop);
       ]
     ~extra:
       [
         ("socket", t.socket_path);
-        ("listen", (match t.bound with Some b -> b | None -> t.socket_path));
+        ("listen", Option.value (Loop.bound t.loop) ~default:t.socket_path);
         ("machine", t.machine.Machine.name);
         ("cache_status", t.cache_status);
-        ( "kernels",
-          String.concat "+"
-            (Array.to_list
-               (Array.map (fun s -> Waco.Kernel.name s.kernel) t.slots)) );
+        ("kernels", String.concat "+" (kernel_names t.slots));
         ("default_kernel", Waco.Kernel.name t.slots.(t.default_slot).kernel);
       ]
     t.metrics
-
-let close_conn conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-exception Write_stall
-
-(* Bounded non-blocking write: the whole frame goes out, or the connection
-   is declared stalled after [write_timeout_s] of the client not draining.
-   Connection fds are permanently non-blocking, so a full socket buffer
-   surfaces as EAGAIN and we wait for writability with the remaining
-   budget — never for longer.  The [Faults] hooks simulate a hostile
-   network here: capped partial writes and a drop mid-frame. *)
-let write_bounded t conn s =
-  let fd = conn.fd in
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let deadline = Robust.mono_now () +. t.write_timeout_s in
-  let rec go off =
-    if off < n then begin
-      if Robust.Faults.net_drop_tick () then
-        raise (Unix.Unix_error (Unix.EPIPE, "write", "injected drop"));
-      let len = n - off in
-      let len =
-        match Robust.Faults.net_io_cap () with
-        | Some cap -> min cap len
-        | None -> len
-      in
-      match Unix.write fd b off len with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          let remaining = deadline -. Robust.mono_now () in
-          if remaining <= 0.0 then raise Write_stall;
-          (match Unix.select [] [ fd ] [] remaining with
-          | _, [], _ -> raise Write_stall
-          | _ -> ());
-          go off
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    end
-  in
-  go 0
-
-let send t conn (resp : Protocol.response) =
-  if conn.alive then
-    match write_bounded t conn (Protocol.response_to_frame resp) with
-    | () -> ()
-    | exception Write_stall ->
-        Metrics.bump t.metrics (fun m -> m.write_stalls <- m.write_stalls + 1);
-        t.log "client not draining responses; dropping connection";
-        close_conn conn
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        t.log "client went away mid-response";
-        close_conn conn
 
 (* The [Busy] hint scales with how deep the backlog already is: a client
    told to come back later should not come back into the same wall. *)
 let retry_hint t =
   min 2000 (50 * (1 + (t.pending_queries / t.max_batch)))
 
-(* Drain complete frames out of a connection's buffer; enqueue well-formed
-   requests, answer undecodable bodies, kill the connection on framing
-   damage.  Past the pending high-water mark a new query answers [Busy]
-   instead of queueing — control requests (stats/ping/shutdown) always get
-   through, so an overloaded daemon stays observable and stoppable. *)
-let drain_frames t conn =
-  let rec go () =
-    let s = Buffer.contents conn.inbuf in
-    match Protocol.decode_frame s with
-    | `Need _ -> ()
-    | `Bad reason ->
-        Metrics.bump t.metrics (fun m ->
-            m.protocol_errors <- m.protocol_errors + 1);
-        send t conn (Protocol.Error_msg ("protocol: " ^ reason));
-        close_conn conn
-    | `Frame (msg, body, consumed) -> (
-        Buffer.clear conn.inbuf;
-        Buffer.add_substring conn.inbuf s consumed (String.length s - consumed);
-        match Protocol.request_of_frame ~msg body with
-        | Ok req ->
-            Metrics.bump t.metrics (fun m -> m.requests <- m.requests + 1);
-            (match req with
-            | Protocol.Query _ when t.pending_queries >= t.max_pending ->
-                Metrics.bump t.metrics (fun m -> m.shed <- m.shed + 1);
-                send t conn (Protocol.Busy { retry_after_ms = retry_hint t })
-            | Protocol.Query _ ->
-                t.pending_queries <- t.pending_queries + 1;
-                Queue.add (conn, req, Robust.mono_now ()) t.queue
-            | _ -> Queue.add (conn, req, Robust.mono_now ()) t.queue);
-            go ()
-        | Error e ->
-            Metrics.bump t.metrics (fun m ->
-                m.protocol_errors <- m.protocol_errors + 1);
-            send t conn (Protocol.Error_msg ("request: " ^ e));
-            go ())
-  in
-  go ()
+let send t conn resp = Loop.send t.loop conn (Protocol.response_to_frame resp)
+
+(* One complete frame off a connection: enqueue a well-formed request,
+   answer an undecodable body.  Past the pending high-water mark a new
+   query answers [Busy] instead of queueing — control requests
+   (stats/ping/shutdown) always get through, so an overloaded daemon stays
+   observable and stoppable. *)
+let on_frame t conn msg body =
+  let t0 = Robust.mono_now () in
+  let decoded = Protocol.request_of_frame ~msg body in
+  let arrival = Robust.mono_now () in
+  match decoded with
+  | Ok req -> (
+      Metrics.bump t.metrics (fun m -> m.requests <- m.requests + 1);
+      match req with
+      | Protocol.Query _ when t.pending_queries >= t.max_pending ->
+          Metrics.bump t.metrics (fun m -> m.shed <- m.shed + 1);
+          send t conn (Protocol.Busy { retry_after_ms = retry_hint t })
+      | Protocol.Query _ ->
+          t.pending_queries <- t.pending_queries + 1;
+          Queue.add (conn, req, arrival, arrival -. t0) t.queue
+      | _ -> Queue.add (conn, req, arrival, 0.0) t.queue)
+  | Error e ->
+      let io = t.metrics.Metrics.io in
+      io.protocol_errors <- io.protocol_errors + 1;
+      send t conn (Protocol.Error_msg ("request: " ^ e))
 
 (* Drain the request FIFO: control requests answer inline, runs of queries
    dispatch as micro-batches of at most [max_batch].  FIFO order per
@@ -682,17 +575,17 @@ let drain_frames t conn =
 let drain_queue t =
   while not (Queue.is_empty t.queue) do
     match Queue.peek t.queue with
-    | _, Protocol.Stats, _ ->
-        let conn, _, _ = Queue.pop t.queue in
+    | _, Protocol.Stats, _, _ ->
+        let conn, _, _, _ = Queue.pop t.queue in
         send t conn (Protocol.Stats_json (stats_json t))
-    | _, Protocol.Ping, _ ->
-        let conn, _, _ = Queue.pop t.queue in
+    | _, Protocol.Ping, _, _ ->
+        let conn, _, _, _ = Queue.pop t.queue in
         send t conn Protocol.Pong
-    | _, Protocol.Shutdown, _ ->
-        let conn, _, _ = Queue.pop t.queue in
-        t.stopping <- true;
+    | _, Protocol.Shutdown, _, _ ->
+        let conn, _, _, _ = Queue.pop t.queue in
+        Loop.stop t.loop;
         send t conn Protocol.Bye
-    | _, Protocol.Query _, _ ->
+    | _, Protocol.Query _, _, _ ->
         (* Collect the contiguous run of queries at the head. *)
         let conns = ref [] and queries = ref [] in
         let continue = ref true in
@@ -702,11 +595,11 @@ let drain_queue t =
           && List.length !queries < t.max_batch
         do
           match Queue.peek t.queue with
-          | conn, Protocol.Query q, arrival ->
+          | conn, Protocol.Query q, arrival, decode_s ->
               ignore (Queue.pop t.queue);
               t.pending_queries <- t.pending_queries - 1;
               conns := conn :: !conns;
-              queries := (q, arrival) :: !queries
+              queries := (q, arrival, decode_s) :: !queries
           | _ -> continue := false
         done;
         let conns = List.rev !conns and queries = List.rev !queries in
@@ -714,137 +607,11 @@ let drain_queue t =
         List.iter2 (fun conn resp -> send t conn resp) conns responses
   done
 
-(* Connection reaper: a connection stalled mid-frame (a trickler feeding a
-   byte per tick, or a drop that left half a header) dies after
-   [frame_timeout_s]; one that has sent nothing at all for [idle_timeout_s]
-   dies too.  Both free their fd — neither can pin the select loop's fd set
-   forever. *)
-let reap t conns =
-  let now = Robust.mono_now () in
-  List.iter
-    (fun conn ->
-      if conn.alive then
-        if
-          conn.partial_since > 0.0
-          && now -. conn.partial_since > t.frame_timeout_s
-        then begin
-          Metrics.bump t.metrics (fun m ->
-              m.reaped_trickle <- m.reaped_trickle + 1);
-          t.log "reaped connection stalled mid-frame";
-          close_conn conn
-        end
-        else if now -. conn.last_byte > t.idle_timeout_s then begin
-          Metrics.bump t.metrics (fun m -> m.reaped_idle <- m.reaped_idle + 1);
-          t.log "reaped idle connection";
-          close_conn conn
-        end)
-    conns
-
 let run ?(on_ready = ignore) t =
-  (* A dying client must not kill the daemon with SIGPIPE; writes surface
-     EPIPE instead, handled per connection. *)
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
-  in
-  let addr = Addr.of_string t.socket_path in
-  let listen_fd = Addr.listen addr in
-  let addr = Addr.resolve_bound addr listen_fd in
-  t.bound <- Some (Addr.to_string addr);
-  t.log (Printf.sprintf "listening on %s" (Addr.to_string addr));
-  on_ready ();
-  let conns : conn list ref = ref [] in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Addr.cleanup addr;
-    List.iter close_conn !conns;
-    (match t.cache_file with
-    | Some file -> (
-        try Cache.save t.cache file
-        with e ->
-          t.log
-            (Printf.sprintf "cache: final persist failed: %s"
-               (Printexc.to_string e)))
-    | None -> ());
-    match prev_sigpipe with
-    | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
-  in
-  (* The select timeout doubles as the reaper tick: fine-grained enough to
-     honor short test timeouts, never busier than once per 20 ms. *)
-  let tick =
-    Float.max 0.02
-      (Float.min 1.0 (Float.min t.idle_timeout_s t.frame_timeout_s /. 4.0))
-  in
-  Fun.protect ~finally (fun () ->
-      let chunk = Bytes.create 65536 in
-      while not t.stopping do
-        conns := List.filter (fun c -> c.alive) !conns;
-        let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
-        match Unix.select fds [] [] tick with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | readable, _, _ ->
-            (* New connections. *)
-            if List.mem listen_fd readable then begin
-              let accepting = ref true in
-              while !accepting do
-                match Unix.accept listen_fd with
-                | fd, _ ->
-                    (* Connection fds stay non-blocking for their whole
-                       life: reads can spuriously EAGAIN (handled below)
-                       and writes go through the bounded writer. *)
-                    Unix.set_nonblock fd;
-                    Addr.nodelay fd;
-                    conns :=
-                      {
-                        fd;
-                        inbuf = Buffer.create 1024;
-                        alive = true;
-                        last_byte = Robust.mono_now ();
-                        partial_since = 0.0;
-                      }
-                      :: !conns
-                | exception
-                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                    accepting := false
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              done
-            end;
-            (* Bytes from existing connections. *)
-            List.iter
-              (fun conn ->
-                if conn.alive && List.mem conn.fd readable then begin
-                  if Robust.Faults.net_drop_tick () then close_conn conn
-                  else
-                    let len = Bytes.length chunk in
-                    let len =
-                      (* Injected partial read: a hostile peer (or kernel)
-                         handing over a few bytes at a time. *)
-                      match Robust.Faults.net_io_cap () with
-                      | Some cap -> min cap len
-                      | None -> len
-                    in
-                    match Unix.read conn.fd chunk 0 len with
-                    | 0 -> close_conn conn
-                    | n ->
-                        conn.last_byte <- Robust.mono_now ();
-                        Buffer.add_subbytes conn.inbuf chunk 0 n;
-                        drain_frames t conn;
-                        (* Track how long the current partial frame (if
-                           any) has been accumulating, for the reaper. *)
-                        if Buffer.length conn.inbuf = 0 then
-                          conn.partial_since <- 0.0
-                        else if conn.partial_since = 0.0 then
-                          conn.partial_since <- Robust.mono_now ()
-                    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                        close_conn conn
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                        ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                end)
-              !conns;
-            (* The request scheduler, then the reaper. *)
-            drain_queue t;
-            reap t !conns
-      done)
+  Fun.protect ~finally:(fun () -> persist t) (fun () ->
+      Loop.run t.loop
+        ~on_ready:(fun () ->
+          t.log (Printf.sprintf "listening on %s" (Option.get (Loop.bound t.loop)));
+          on_ready ())
+        ~on_round:(fun () -> drain_queue t)
+        ~init:ignore ~on_frame:(on_frame t))

@@ -4,7 +4,7 @@
     micro-batching, deadlines, shedding and the reapers behave identically
     on both.
 
-    A single [select] loop owns all IO; between IO rounds the request
+    The shared {!Loop} owns all IO; after each IO round the request
     scheduler drains decoded queries in micro-batches — per-batch the
     distinct cache misses (deduplicated by sparsity fingerprint) run
     concurrently on the worker pool's per-domain model replicas, then fresh
@@ -15,10 +15,9 @@
     hanging: per-query [deadline_ms] budgets (expired queries answer from
     the cache or the unmeasured asymptotic fallback, marked degraded and
     never cached), a pending-queue high-water mark past which new queries
-    answer [Busy] with a retry hint, timeouts that reap silent and
-    mid-frame-stalled (trickle) connections, and a bounded non-blocking
-    writer that drops clients who never drain their responses.  Every shed,
-    deadline miss, reap and write stall is a {!Metrics} counter. *)
+    answer [Busy] with a retry hint, and the {!Loop}'s reapers, bounded
+    writer and connection cap.  Every shed, deadline miss, reap, refusal
+    and write stall is a {!Metrics} counter. *)
 
 type t
 
@@ -67,12 +66,9 @@ val create :
     [max_pending] (default 256) is the queued-query high-water mark: past
     it, new queries answer [Busy {retry_after_ms}] instead of queueing
     (control requests always get through, so an overloaded daemon stays
-    observable and stoppable).  [idle_timeout_s] (default 60) reaps a
-    connection that has sent nothing at all; [frame_timeout_s] (default 10)
-    reaps one stalled in the middle of a frame — a trickler feeding a byte
-    per tick never completes a frame and dies here; [write_timeout_s]
-    (default 5) bounds how long one response write may wait for the client
-    to drain before the connection is dropped. *)
+    observable and stoppable).  [idle_timeout_s] (default 60),
+    [frame_timeout_s] (default 10) and [write_timeout_s] (default 5) are
+    the {!Loop.create} reaper and writer bounds. *)
 
 val process_batch : t -> Protocol.query list -> Protocol.response list
 (** One micro-batch through the request scheduler, bypassing the socket —
@@ -85,12 +81,9 @@ val process_batch : t -> Protocol.query list -> Protocol.response list
     arrival at frame decode instead, charging queue wait to the budget. *)
 
 val run : ?on_ready:(unit -> unit) -> t -> unit
-(** Bind the endpoint (removing a stale socket file first for Unix paths),
-    call [on_ready], and serve until a [Shutdown] request arrives.  On
-    exit: cache persisted, connections closed, Unix socket unlinked — also
-    on exceptional exit.  SIGPIPE is ignored for the duration (dying
-    clients surface as [EPIPE] on their own connection, not a daemon
-    kill). *)
+(** {!Loop.run} the endpoint: bind, call [on_ready], serve until a
+    [Shutdown] request arrives.  On exit, also exceptional, the cache is
+    persisted on top of the loop's own cleanup. *)
 
 val bound_endpoint : t -> string option
 (** The endpoint {!run} actually bound — [Some] once listening.  Differs

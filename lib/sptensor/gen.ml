@@ -62,8 +62,9 @@ let uniform rng ~nrows ~ncols ~nnz =
 (* Skewed: a few heavy rows hold most of the nonzeros. *)
 let power_law rng ~alpha ~nrows ~ncols ~nnz =
   let row_of = Rng.permutation rng nrows in
+  let zipf = Rng.zipf_sampler ~alpha (min nrows 4096) in
   fill_distinct rng ~nrows ~ncols ~nnz (fun () ->
-      (row_of.(Rng.zipf rng ~alpha (min nrows 4096)), Rng.int rng ncols))
+      (row_of.(zipf rng), Rng.int rng ncols))
 
 let banded rng ~half_bw ~nrows ~ncols ~nnz =
   fill_distinct rng ~nrows ~ncols ~nnz (fun () ->
@@ -257,12 +258,13 @@ let tensor3_blocked rng ~block ~dim_i ~dim_k ~dim_l ~nnz =
 (* Skewed 3-D tensor: heavy slices along mode 0. *)
 let tensor3_skewed rng ~alpha ~dim_i ~dim_k ~dim_l ~nnz =
   let slice_of = Rng.permutation rng dim_i in
+  let zipf = Rng.zipf_sampler ~alpha (min dim_i 2048) in
   let tbl = Hashtbl.create (2 * nnz) in
   let attempts = ref 0 in
   while Hashtbl.length tbl < nnz && !attempts < 20 * nnz do
     incr attempts;
     let c =
-      ( slice_of.(Rng.zipf rng ~alpha (min dim_i 2048)),
+      ( slice_of.(zipf rng),
         Rng.int rng dim_k,
         Rng.int rng dim_l )
     in

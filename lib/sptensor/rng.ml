@@ -99,8 +99,28 @@ let permutation t n =
   shuffle t p;
   p
 
-(* Power-law (Zipf-like) integer in [0, n) with exponent [alpha]:
-   P(k) proportional to (k+1)^-alpha.  Used for skewed row-degree patterns. *)
-let zipf t ~alpha n =
-  let w = Array.init n (fun k -> Float.pow (float_of_int (k + 1)) (-.alpha)) in
-  categorical t w
+(* Power-law (Zipf-like) integers in [0, n) with exponent [alpha]:
+   P(k) proportional to (k+1)^-alpha.  Used for skewed row-degree patterns.
+   The cumulative weights are summed once, left to right in [categorical]'s
+   order, so the total and every prefix are the same floats it computes;
+   each draw then binary-searches the first [i] with [x < cum.(i)] — the
+   index [categorical]'s linear scan stops at, in O(log n). *)
+let zipf_sampler ~alpha n =
+  let cum = Array.make (max n 0) 0.0 in
+  let acc = ref 0.0 in
+  for k = 0 to n - 1 do
+    acc := !acc +. Float.pow (float_of_int (k + 1)) (-.alpha);
+    cum.(k) <- !acc
+  done;
+  let total = !acc in
+  fun t ->
+    if total <= 0.0 then int t n
+    else begin
+      let x = float t *. total in
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if x < cum.(mid) then hi := mid else lo := mid + 1
+      done;
+      !lo
+    end

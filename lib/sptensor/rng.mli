@@ -61,5 +61,8 @@ val shuffle : t -> 'a array -> unit
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
 
-val zipf : t -> alpha:float -> int -> int
-(** Power-law integer in [\[0, n)]: [P(k)] proportional to [(k+1)^-alpha]. *)
+val zipf_sampler : alpha:float -> int -> t -> int
+(** [zipf_sampler ~alpha n] draws power-law integers in [\[0, n)]: [P(k)]
+    proportional to [(k+1)^-alpha].  The weight table is built once; each
+    draw is O(log n) and returns exactly what {!categorical} returns over
+    the same weights from the same generator state. *)

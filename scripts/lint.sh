@@ -24,8 +24,8 @@ fi
 # the serve layer and the tuner must never read the wall clock directly —
 # Robust.mono_now / Robust.wall_now are the only entry points (both live in
 # lib/robust, the one place allowed to call Unix.gettimeofday).  lib/serve
-# includes the scale-out router (lib/serve/router.ml), whose redial backoff
-# and reaper clocks are deadline paths like any other.
+# includes the shared event loop (lib/serve/loop.ml), whose reaper and
+# write-timeout clocks are deadline paths like any other.
 if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml 2>/dev/null; then
   echo "lint.sh: Unix.gettimeofday on a deadline/elapsed path (use Robust.mono_now)" >&2
   status=1
@@ -37,6 +37,14 @@ fi
 # give up the batching the phase-B throughput numbers rest on.
 if grep -rn "Extractor\.forward\|Costmodel\.predict " lib/serve 2>/dev/null; then
   echo "lint.sh: eager forward/predict in lib/serve (use the batched VM entry points)" >&2
+  status=1
+fi
+
+# One event loop (DESIGN.md §10): the daemon and the router are handlers
+# over lib/serve/loop.ml, the only place in the serve layer that accepts
+# connections — a second accept loop is a second event loop.
+if grep -rn "Unix.accept" lib/serve 2>/dev/null | grep -v "^lib/serve/loop.ml:"; then
+  echo "lint.sh: Unix.accept outside lib/serve/loop.ml (serve through Serve.Loop)" >&2
   status=1
 fi
 

@@ -675,6 +675,73 @@ let test_shard_sigkill_failover () =
       ignore (Unix.waitpid [] pid0);
       ignore (Unix.waitpid [] !pid1))
 
+(* [n] connections opened without a client-side [select] (past fd 1024 the
+   test's own select would fail), and closed with an RST so no ephemeral
+   port lingers in TIME_WAIT. *)
+let open_many ep n =
+  let addr = Serve.Addr.of_string ep in
+  List.init n (fun _ ->
+      let fd = Unix.socket (Serve.Addr.family addr) Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Serve.Addr.sockaddr addr);
+      fd)
+
+let close_abortive fd =
+  (try Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0)
+   with Unix.Unix_error _ -> ());
+  Unix.close fd
+
+(* 1,100 connections at once to a router: it stays up, admits at most
+   [Loop.max_conns], refuses and counts the rest, an admitted connection
+   still answers, and once they close a fresh connection is served.  Runs
+   on TCP under WACO_TEST_TRANSPORT=tcp (the @tcp alias), else on a Unix
+   socket. *)
+let test_router_connection_cap () =
+  let dir = tmpdir "waco-router-cap" in
+  let listen =
+    if Sys.getenv_opt "WACO_TEST_TRANSPORT" = Some "tcp" then "tcp:127.0.0.1:0"
+    else Filename.concat dir "router.sock"
+  in
+  (* The one shard is down for the whole test: pings answer at the router. *)
+  let _router, rdomain, ep =
+    spawn_router ~listen ~shards:[ Filename.concat dir "absent.sock" ] ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         let c = wait_connect ep in
+         ignore (Serve.Client.shutdown c);
+         Serve.Client.close c
+       with _ -> ());
+      Domain.join rdomain;
+      rm_rf dir)
+    (fun () ->
+      let admitted = wait_connect ep in
+      let flood = open_many ep 1100 in
+      Alcotest.(check bool) "an admitted connection answers" true
+        (Serve.Client.ping admitted);
+      let j = router_stats admitted in
+      let get name = Option.value ~default:(-1) (counter_after j "\"router\"" name) in
+      Alcotest.(check bool) "the excess is refused and counted" true
+        (get "refused" >= 1101 - Serve.Loop.max_conns);
+      Alcotest.(check bool) "admitted stays within the cap" true
+        (get "connections" <= Serve.Loop.max_conns);
+      List.iter close_abortive flood;
+      Serve.Client.close admitted;
+      let rec ping_fresh attempts =
+        let ok =
+          try
+            let c = Serve.Client.connect ~timeout_s:1.0 ep in
+            Fun.protect
+              ~finally:(fun () -> Serve.Client.close c)
+              (fun () ->
+                Serve.Client.request ~timeout_s:1.0 c Serve.Protocol.Ping
+                = Serve.Protocol.Pong)
+          with Failure _ | Unix.Unix_error _ -> false
+        in
+        ok || (attempts > 0 && (Unix.sleepf 0.05; ping_fresh (attempts - 1)))
+      in
+      Alcotest.(check bool) "a fresh connection is served" true (ping_fresh 100))
+
 let () =
   Alcotest.run "router"
     [
@@ -700,5 +767,7 @@ let () =
             test_busy_propagation;
           Alcotest.test_case "shard sigkill: failover + warm rejoin" `Slow
             test_shard_sigkill_failover;
+          Alcotest.test_case "1100 connections: cap, refuse, survive" `Slow
+            test_router_connection_cap;
         ] );
     ]

@@ -373,6 +373,105 @@ let test_fuzz_total () =
     | `Need _ | `Bad _ -> ()
   done
 
+(* The receive buffer against the whole-string decoder: any concatenation
+   of valid and damaged frames, fed in random-sized pieces, yields the same
+   frames, and a [`Bad] at the same byte. *)
+let decode_whole s =
+  let rec go off acc =
+    match Serve.Protocol.decode_frame (String.sub s off (String.length s - off)) with
+    | `Frame (msg, body, n) -> go (off + n) ((msg, body) :: acc)
+    | `Need _ -> (List.rev acc, None)
+    | `Bad _ -> (List.rev acc, Some off)
+  in
+  go 0 []
+
+let decode_pieces s cuts =
+  let module I = Serve.Protocol.Inbuf in
+  let b = I.create () and src = Bytes.of_string s in
+  let frames = ref [] and bad = ref None and consumed = ref 0 in
+  let rec drain () =
+    match I.next b with
+    | `Frame (msg, body, n) ->
+        consumed := !consumed + n;
+        frames := (msg, body) :: !frames;
+        drain ()
+    | `Need _ -> ()
+    | `Bad _ -> bad := Some !consumed
+  in
+  let cuts = Array.of_list cuts in
+  let off = ref 0 and i = ref 0 in
+  while !off < String.length s && !bad = None do
+    let n = min cuts.(!i mod Array.length cuts) (String.length s - !off) in
+    I.add b src !off n;
+    off := !off + n;
+    incr i;
+    drain ()
+  done;
+  (List.rev !frames, !bad)
+
+let qcheck_inbuf_matches_decode_frame =
+  let open QCheck.Gen in
+  let valid =
+    map2
+      (fun msg body -> Serve.Protocol.encode_frame ~msg body)
+      (int_range 0 255)
+      (string_size (int_range 0 600))
+  in
+  let damaged_header =
+    map2
+      (fun f i ->
+        let b = Bytes.of_string f in
+        Bytes.set b (i mod 5) 'Z';
+        Bytes.to_string b)
+      valid small_nat
+  in
+  let oversize =
+    return (raw_header ~msg:1 (Serve.Protocol.max_payload + 1))
+  in
+  let garbage = string_size (int_range 1 16) in
+  let stream =
+    map (String.concat "")
+      (list_size (int_range 0 8)
+         (frequency
+            [ (8, valid); (1, damaged_header); (1, oversize); (1, garbage) ]))
+  in
+  QCheck.Test.make ~name:"receive buffer = whole-string decode (prop)" ~count:300
+    (QCheck.make (pair stream (list_size (int_range 1 20) (int_range 1 700))))
+    (fun (s, cuts) -> decode_pieces s cuts = decode_whole s)
+
+(* Linear receive: a frame of [max_payload] fed in 4 KiB pieces makes the
+   buffer copy at most 2 bytes per byte received.  Re-decoding the whole
+   backlog on every read copies about N^2 / 8 KiB bytes instead. *)
+let test_inbuf_copy_budget () =
+  let module I = Serve.Protocol.Inbuf in
+  let body = String.make Serve.Protocol.max_payload 'x' in
+  let frame =
+    Bytes.unsafe_of_string
+      (Serve.Protocol.encode_frame ~msg:Serve.Protocol.msg_ping body)
+  in
+  let n = Bytes.length frame in
+  let b = I.create () in
+  let off = ref 0 and got = ref None in
+  while !off < n do
+    let k = min 4096 (n - !off) in
+    I.add b frame !off k;
+    off := !off + k;
+    match I.next b with
+    | `Frame (msg, body', used) -> got := Some (msg, body' = body, used)
+    | `Need _ -> ()
+    | `Bad reason -> Alcotest.failf "valid frame rejected: %s" reason
+  done;
+  Alcotest.(check (option (triple int bool int)))
+    "the frame comes out whole"
+    (Some (Serve.Protocol.msg_ping, true, n))
+    !got;
+  Alcotest.(check int) "nothing left over" 0 (I.length b);
+  let copied = I.copied b in
+  Printf.printf "copied %d bytes for %d received (%.2f per byte)\n" copied n
+    (float_of_int copied /. float_of_int n);
+  if copied > 2 * n then
+    Alcotest.failf "copied %d bytes for %d received (> 2 per byte)" copied n
+
 (* ====================================================================== *)
 (* Fingerprint                                                            *)
 (* ====================================================================== *)
@@ -780,6 +879,43 @@ let test_deadlines () =
     (Serve.Cache.size (Serve.Server.cache server))
 
 (* Worker-pool answers must be byte-identical to the sequential ones. *)
+(* Daemon memory is bounded by the schedule LRU, not by how many distinct
+   patterns it has ever seen: live heap (after [Gc.compact], server still
+   reachable) grows by less than [budget_mib] from 2x to 10x
+   [cache_capacity] distinct patterns.  Keeping every pattern's features
+   and coordinate pyramids adds about 10 MiB over those 64 patterns. *)
+let test_memory_flat_across_patterns () =
+  let capacity = 8 and budget_mib = 1.0 in
+  let server = mk_server ~cache_capacity:capacity () in
+  let served = ref 0 in
+  let serve_upto n =
+    while !served < n do
+      let batch =
+        List.init 10 (fun k ->
+            let i = !served + k in
+            query_of ~measure:false ~qid:(string_of_int i)
+              (Gen.uniform (Rng.create (5000 + i)) ~nrows:128 ~ncols:128
+                 ~nnz:1200))
+      in
+      ignore (Serve.Server.process_batch server batch);
+      served := !served + 10
+    done
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  serve_upto (2 * capacity);
+  let at2 = live_words () in
+  serve_upto (10 * capacity);
+  let at10 = live_words () in
+  ignore (Sys.opaque_identity server);
+  let growth_mib = float_of_int ((at10 - at2) * (Sys.word_size / 8)) /. 1048576.0 in
+  Printf.printf "live heap growth 2x -> 10x capacity: %.3f MiB\n" growth_mib;
+  if growth_mib > budget_mib then
+    Alcotest.failf "live heap grew %.2f MiB over %d distinct patterns (budget %.1f)"
+      growth_mib (8 * capacity) budget_mib
+
 let test_batch_pool_determinism () =
   let seq = mk_server () in
   let pool = Parallel.Pool.create ~domains:2 in
@@ -1367,6 +1503,122 @@ let test_client_bounded_failure () =
       Alcotest.(check bool) "retry budget is bounded" true
         (Unix.gettimeofday () -. t1 < 5.0))
 
+(* One response frame off a raw fd, waiting at most [timeout_s]. *)
+let recv_raw ?(timeout_s = 30.0) fd =
+  let module I = Serve.Protocol.Inbuf in
+  let b = I.create () and chunk = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    match I.next b with
+    | `Frame (msg, body, _) -> Serve.Protocol.response_of_frame ~msg body
+    | `Bad e -> Error e
+    | `Need _ -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then Error "timed out"
+        else
+          match Unix.select [ fd ] [] [] left with
+          | [], _, _ -> Error "timed out"
+          | _ -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> Error "closed"
+              | n ->
+                  I.add b chunk 0 n;
+                  go ()))
+  in
+  go ()
+
+(* A [max_payload] frame trickled in 4 KiB writes does not hold up the
+   loop: halfway through it, a ping on a second connection answers, and
+   the large frame is answered once it completes. *)
+let test_large_frame_interleaved () =
+  with_inproc_server (fun ~socket ~server:_ ->
+      let frame =
+        Serve.Protocol.encode_frame ~msg:Serve.Protocol.msg_ping
+          (String.make Serve.Protocol.max_payload 'x')
+      in
+      let big = raw_connect socket in
+      let write_upto stop from =
+        let off = ref from in
+        while !off < stop do
+          off := !off + Unix.write_substring big frame !off (min 4096 (stop - !off))
+        done
+      in
+      let half = String.length frame / 2 in
+      write_upto half 0;
+      let c = wait_connect socket in
+      (match Serve.Client.request ~timeout_s:5.0 c Serve.Protocol.Ping with
+      | Serve.Protocol.Pong -> ()
+      | _ -> Alcotest.fail "ping mid-frame: unexpected response");
+      Serve.Client.close c;
+      write_upto (String.length frame) half;
+      (match recv_raw big with
+      | Ok Serve.Protocol.Pong -> ()
+      | Ok _ -> Alcotest.fail "large frame: unexpected response"
+      | Error e -> Alcotest.failf "large frame: %s" e);
+      Unix.close big)
+
+(* [n] connections opened without a client-side [select]: past fd 1024
+   the test's own select would fail, and what is under test is what the
+   daemon does with that many. *)
+let open_many ep n =
+  let addr = Serve.Addr.of_string ep in
+  List.init n (fun _ ->
+      let fd = Unix.socket (Serve.Addr.family addr) Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Serve.Addr.sockaddr addr);
+      fd)
+
+(* Close with an RST (linger 0): a thousand client sockets left in
+   TIME_WAIT would hold ephemeral ports that the derived test ports of
+   later daemons can collide with. *)
+let close_abortive fd =
+  (try Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0)
+   with Unix.Unix_error _ -> ());
+  Unix.close fd
+
+let rec ping_fresh ?(attempts = 100) ep =
+  let ok =
+    match Serve.Client.connect ~timeout_s:1.0 ep with
+    | c ->
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close c)
+          (fun () ->
+            try Serve.Client.request ~timeout_s:1.0 c Serve.Protocol.Ping = Serve.Protocol.Pong
+            with Failure _ | Unix.Unix_error _ -> false)
+    | exception (Failure _ | Unix.Unix_error _) -> false
+  in
+  ok
+  || attempts > 0
+     && begin
+          Unix.sleepf 0.05;
+          ping_fresh ~attempts:(attempts - 1) ep
+        end
+
+(* 1,100 connections at once: the daemon stays up, admits at most
+   [Loop.max_conns], refuses and counts the rest, an admitted connection
+   still answers, and once they close a fresh connection is served. *)
+let test_connection_cap () =
+  with_inproc_server (fun ~socket ~server:_ ->
+      let admitted = wait_connect socket in
+      let flood = open_many socket 1100 in
+      Alcotest.(check bool) "an admitted connection answers" true
+        (Serve.Client.ping admitted);
+      let stats =
+        match Serve.Client.stats admitted with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "stats: %s" e
+      in
+      let get name =
+        Option.value ~default:(-1) (Serve.Metrics.json_counter stats name)
+      in
+      Alcotest.(check bool) "the excess is refused and counted" true
+        (get "refused" >= 1101 - Serve.Loop.max_conns);
+      Alcotest.(check bool) "admitted stays within the cap" true
+        (get "connections" <= Serve.Loop.max_conns);
+      List.iter close_abortive flood;
+      Serve.Client.close admitted;
+      Alcotest.(check bool) "a fresh connection is served" true
+        (ping_fresh socket))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1378,6 +1630,9 @@ let () =
           Alcotest.test_case "inline validation" `Quick test_inline_validation;
           Alcotest.test_case "kernel field" `Quick test_kernel_field;
           Alcotest.test_case "fuzz: decoder is total" `Quick test_fuzz_total;
+          Alcotest.test_case "receive buffer copy budget" `Quick
+            test_inbuf_copy_budget;
+          QCheck_alcotest.to_alcotest qcheck_inbuf_matches_decode_frame;
         ] );
       ( "fingerprint",
         [ Alcotest.test_case "sketch + key" `Quick test_fingerprint ] );
@@ -1396,6 +1651,8 @@ let () =
             test_batch_measure_modes_and_errors;
           Alcotest.test_case "pool determinism" `Slow test_batch_pool_determinism;
           Alcotest.test_case "deadline budgets" `Slow test_deadlines;
+          Alcotest.test_case "memory flat across distinct patterns" `Slow
+            test_memory_flat_across_patterns;
         ] );
       ( "robustness",
         [
@@ -1404,6 +1661,10 @@ let () =
             test_hostile_connections_reaped;
           Alcotest.test_case "client failure is bounded" `Quick
             test_client_bounded_failure;
+          Alcotest.test_case "16 MiB frame does not stall the loop" `Slow
+            test_large_frame_interleaved;
+          Alcotest.test_case "1100 connections: cap, refuse, survive" `Slow
+            test_connection_cap;
         ] );
       ( "kernels",
         [

@@ -235,6 +235,24 @@ let qcheck_chunk_work_total =
       let work = Stats.chunk_work arr ~chunk in
       Array.fold_left ( + ) 0 work = Array.fold_left ( + ) 0 arr)
 
+(* The per-draw linear scan [Rng.zipf_sampler] replaced, kept here as the
+   reference: build the weight table, sample it with [Rng.categorical]. *)
+let zipf_reference t ~alpha n =
+  Rng.categorical t (Array.init n (fun k -> Float.pow (float_of_int (k + 1)) (-.alpha)))
+
+(* Same generator state in, same index and same state out — over sizes
+   from 1 to past the generators' 4096 clamp and exponents from flat to
+   steep. *)
+let qcheck_zipf_sampler_matches_reference =
+  QCheck.Test.make ~name:"zipf sampler = linear-scan reference (prop)" ~count:200
+    QCheck.(triple (int_range 1 5000) (float_range 0.0 3.0) small_nat)
+    (fun (n, alpha, seed) ->
+      let draw = Rng.zipf_sampler ~alpha n in
+      let a = Rng.create seed and b = Rng.create seed in
+      List.for_all
+        (fun _ -> draw a = zipf_reference b ~alpha n && Rng.state a = Rng.state b)
+        (List.init 50 Fun.id))
+
 let () =
   Alcotest.run "sptensor"
     [
@@ -283,6 +301,11 @@ let () =
       ("mmio", [ Alcotest.test_case "roundtrip" `Quick test_mmio_roundtrip ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_coo_roundtrip; qcheck_transpose_preserves_nnz; qcheck_chunk_work_total ]
+          [
+            qcheck_coo_roundtrip;
+            qcheck_transpose_preserves_nnz;
+            qcheck_chunk_work_total;
+            qcheck_zipf_sampler_matches_reference;
+          ]
       );
     ]
